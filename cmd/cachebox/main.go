@@ -460,7 +460,6 @@ func cmdTrain(args []string) (err error) {
 	}
 	p := cachebox.NewPipeline()
 	p.MaxPairsPerBench = 24
-	p.SplitSeed = *seed
 	p.Workers = *workers
 	if *tiny {
 		// Match the heatmap geometry to the miniature model and shrink

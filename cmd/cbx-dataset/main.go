@@ -2,11 +2,14 @@
 // sharded, content-addressed training sets of internal/stream. A build
 // streams every benchmark × cache configuration through the simulator
 // one heatmap window at a time (never materialising a trace) into
-// fixed-size shards, and publishes a manifest that cbx-dataset — and
-// Pipeline.DatasetSource / cbx-experiments -stream — can recall by
-// digest. With -sample only cluster-representative windows are
-// simulated (SimPoint-style), cutting simulator invocations while the
-// emitted weights keep training unbiased.
+// fixed-size shards, and publishes a manifest that cbx-dataset,
+// cbx-traind and Pipeline.DatasetSource can recall by digest. An
+// exhaustive build at the default -shard-windows writes the same
+// per-item entries cbx-experiments and the Pipeline memoise ground
+// truth in, so each warms the other. With -sample only
+// cluster-representative windows are simulated (SimPoint-style),
+// cutting simulator invocations while the emitted weights keep
+// training unbiased.
 //
 // Usage:
 //

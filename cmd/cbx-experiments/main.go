@@ -5,7 +5,7 @@
 //	cbx-experiments [-scale tiny|small|full] [-artifacts DIR] [-run LIST]
 //	                [-store DIR] [-no-store] [-split-seed N]
 //	                [-config FILE] [-shards N]
-//	                [-checkpoint-every N] [-resume] [-j N] [-stream]
+//	                [-checkpoint-every N] [-resume] [-j N]
 //	                [-trace FILE] [-figure LIST] [-tiny]
 //
 // -run selects a comma-separated subset of
@@ -15,14 +15,13 @@
 // (open in chrome://tracing or Perfetto). Trained models are cached
 // under the artifacts directory, so
 // experiments sharing a model (fig8/fig9/fig11/fig12/table1) train it
-// once. Simulation results and models are additionally memoised in a
-// content-addressed artifact store (inspect it with cbx-store); a
-// rerun against a warm store performs zero simulator invocations.
-// -stream routes ground truth through the streaming dataset subsystem
-// (internal/stream): traces are simulated and windowed one heatmap
-// window at a time instead of being materialised, and training
-// datasets are built as sharded store manifests (inspect them with
-// cbx-dataset). Artifacts are byte-identical to the materialised path.
+// once. Ground truth is streamed (internal/stream): each trace is
+// simulated and windowed one heatmap window at a time, never
+// materialised. Ground-truth items (summaries plus window shards, the
+// same entries cbx-dataset builds) and models are additionally
+// memoised in a content-addressed artifact store (inspect it with
+// cbx-store); a rerun against a warm store performs zero simulator
+// invocations.
 package main
 
 import (
@@ -52,7 +51,6 @@ func main() {
 	checkpointEvery := flag.Int("checkpoint-every", 5, "write a training checkpoint every N epochs (0 disables)")
 	resume := flag.Bool("resume", false, "resume interrupted training from existing checkpoints")
 	workers := flag.Int("j", 0, "simulation worker-pool width (0 = GOMAXPROCS, 1 = serial); artifacts are byte-identical at any width")
-	streamMode := flag.Bool("stream", false, "stream ground truth window-by-window (bounded memory, sharded datasets); artifacts are byte-identical to the materialised path")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event file of the run's spans to this path")
 	figure := flag.String("figure", "", "alias for -run")
 	tiny := flag.Bool("tiny", false, "alias for -scale tiny")
@@ -79,7 +77,6 @@ func main() {
 	r.CheckpointEvery = *checkpointEvery
 	r.Resume = *resume
 	r.Workers = *workers
-	r.Stream = *streamMode
 	// Flag precedence matches `cachebox train`: defaults < -config file
 	// < explicitly set flags. The harness keeps epochs/seed/dataset
 	// experiment-controlled; the config contributes the batch-size

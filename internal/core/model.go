@@ -182,6 +182,31 @@ func (m *Model) Predict(access []*heatmap.Heatmap, params []float32, batchSize i
 	return out
 }
 
+// ScorePairs predicts the miss heatmaps of pairs' access heatmaps
+// under params and returns the true (simulated) and predicted hit
+// rates the pairs imply — the paper's §4.4 comparison. Predicted
+// misses are constrained to their access heatmaps first. Like Predict,
+// it is not safe for concurrent use on one model.
+func (m *Model) ScorePairs(hm heatmap.Config, pairs []heatmap.Pair, params []float32, batchSize int) (trueHR, predHR float64, err error) {
+	if len(pairs) == 0 {
+		return 0, 0, fmt.Errorf("core: no heatmaps (trace too short for %dx%d windows)", hm.Height, hm.Width)
+	}
+	access := make([]*heatmap.Heatmap, len(pairs))
+	miss := make([]*heatmap.Heatmap, len(pairs))
+	for i, pr := range pairs {
+		access[i], miss[i] = pr.Access, pr.Miss
+	}
+	if trueHR, err = heatmap.HitRate(hm, access, miss); err != nil {
+		return 0, 0, err
+	}
+	pred := m.Predict(access, params, batchSize)
+	for i := range pred {
+		pred[i] = heatmap.ConstrainMiss(pred[i], access[i])
+	}
+	predHR, err = heatmap.HitRate(hm, access, pred)
+	return trueHR, predHR, err
+}
+
 // PredictConditioned runs one batched generator forward pass with
 // per-image conditioning — the serving layer's micro-batching hook.
 // Unlike Predict, which chunks a long slice under a single parameter

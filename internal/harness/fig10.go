@@ -117,7 +117,7 @@ func (r *Runner) evalLevel(m *core.Model, b workload.Benchmark, ht hierTruth, le
 	if m.Cfg.CondDim > 0 {
 		params = core.CacheParams(HierarchyConfigs[level])
 	}
-	return r.evaluatePairs(m, b.Name, ht.pairs[level], params, 8)
+	return m.ScorePairs(r.Profile.Heatmap, ht.pairs[level], params, 8)
 }
 
 // Fig10 runs RQ4: the combined model (no cache parameters) and three

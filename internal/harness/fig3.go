@@ -9,6 +9,7 @@ import (
 	"cachebox/internal/core"
 	"cachebox/internal/heatmap"
 	"cachebox/internal/obs"
+	"cachebox/internal/stream"
 	"cachebox/internal/workload"
 )
 
@@ -28,7 +29,7 @@ func (r *Runner) Fig3() (*Fig3Result, error) {
 	defer figSpan.End()
 	suite := workload.PolyLike(r.Profile.Ops, r.Profile.SuiteScale)
 	b := suite.Benchmarks[0]
-	pairs, _, err := r.pairsFor(ctx, b, L1Default)
+	pairs, _, err := stream.Truth(ctx, r.Store, b, L1Default, r.Profile.Heatmap, r.Profile.MaxPairs)
 	if err != nil {
 		return nil, err
 	}

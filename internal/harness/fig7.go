@@ -28,11 +28,7 @@ func (r *Runner) Fig7() (*Fig7Result, error) {
 	train, test := r.split(all)
 	cfg := L1Default
 	m, err := r.trainOrLoad("fig7-rq1-mixed", func() (*core.Model, error) {
-		// The dataset arrives as a SampleSource: in-memory samples on
-		// the default path, a sharded streaming dataset under
-		// Runner.Stream. TrainSource is byte-for-byte Train, so the
-		// model artifact is identical either way.
-		src, err := r.datasetSource("fig7-rq1-mixed", train, []cachesim.Config{cfg}, levelThresholds[0])
+		src, err := r.datasetSource(train, []cachesim.Config{cfg}, levelThresholds[0])
 		if err != nil {
 			return nil, err
 		}
@@ -57,7 +53,7 @@ func (r *Runner) Fig7() (*Fig7Result, error) {
 	for i, b := range test {
 		trueHR, predHR, err := 0.0, 0.0, truths[i].err
 		if err == nil {
-			trueHR, predHR, err = r.evaluatePairs(m, b.Name, truths[i].pairs, core.CacheParams(cfg), 8)
+			trueHR, predHR, err = m.ScorePairs(r.Profile.Heatmap, truths[i].pairs, core.CacheParams(cfg), 8)
 		}
 		if err != nil {
 			r.logf("[fig7] %s skipped: %v\n", b.Name, err)

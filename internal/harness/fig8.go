@@ -16,7 +16,7 @@ func absPct(trueHR, predHR float64) float64 { return metrics.AbsPctDiff(trueHR, 
 // cache configurations — shared by Figures 8, 9, 11 and 12.
 func (r *Runner) rq2Model(train []workload.Benchmark) (*core.Model, error) {
 	return r.trainOrLoad("rq2-multiconfig", func() (*core.Model, error) {
-		ds, err := r.dataset(train, RQ2Configs, levelThresholds[0])
+		src, err := r.datasetSource(train, RQ2Configs, levelThresholds[0])
 		if err != nil {
 			return nil, err
 		}
@@ -24,8 +24,8 @@ func (r *Runner) rq2Model(train []workload.Benchmark) (*core.Model, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.logf("[rq2] training on %d samples (%d benches x %d configs)\n", len(ds), len(train), len(RQ2Configs))
-		if _, err := model.Train(ds, r.trainConfig("rq2-multiconfig", r.Profile.Epochs, 2)); err != nil {
+		r.logf("[rq2] training on %d samples (%d benches x %d configs)\n", src.Len(), len(train), len(RQ2Configs))
+		if _, err := model.TrainSource(src, r.trainConfig("rq2-multiconfig", r.Profile.Epochs, 2)); err != nil {
 			return nil, err
 		}
 		return model, nil
@@ -80,7 +80,7 @@ func (r *Runner) evalConfigs(m *core.Model, test []workload.Benchmark, cfgs []ca
 		for i, b := range test {
 			trueHR, predHR, err := 0.0, 0.0, truths[i].err
 			if err == nil {
-				trueHR, predHR, err = r.evaluatePairs(m, b.Name, truths[i].pairs, params, 8)
+				trueHR, predHR, err = m.ScorePairs(r.Profile.Heatmap, truths[i].pairs, params, 8)
 			}
 			if err != nil {
 				r.logf("[%s] %s skipped: %v\n", cfg, b.Name, err)
@@ -130,7 +130,7 @@ func (r *Runner) Fig12() (*Fig12Result, error) {
 			if truths[i].err != nil {
 				continue
 			}
-			trueHR, predHR, err := r.evaluatePairs(m, b.Name, truths[i].pairs, params, 8)
+			trueHR, predHR, err := m.ScorePairs(r.Profile.Heatmap, truths[i].pairs, params, 8)
 			if err != nil {
 				continue
 			}

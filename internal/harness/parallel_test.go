@@ -91,18 +91,18 @@ func TestDatasetParallelEquivalence(t *testing.T) {
 	}
 	train, _ := r1.split(benches)
 	cfgs := []cachesim.Config{L1Default}
-	d1, err := r1.dataset(train, cfgs, 0.65)
+	d1, err := r1.datasetSource(train, cfgs, 0.65)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d8, err := r8.dataset(train, cfgs, 0.65)
+	d8, err := r8.datasetSource(train, cfgs, 0.65)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d1) == 0 {
+	if d1.Len() == 0 {
 		t.Fatal("empty dataset")
 	}
 	if !reflect.DeepEqual(d1, d8) {
-		t.Fatalf("datasets differ between -j 1 and -j 8 (%d vs %d samples)", len(d1), len(d8))
+		t.Fatalf("datasets differ between -j 1 and -j 8 (%d vs %d samples)", d1.Len(), d8.Len())
 	}
 }

@@ -95,14 +95,14 @@ func (r *Runner) Table1() (*Table1Result, error) {
 			return nil, err
 		}
 		truths := r.truths(gb, cfg)
-		for i, b := range gb {
+		for i := range gb {
 			for _, pr := range preds {
 				d := metrics.AbsPctDiff(trueMisses[i], pr.PredictMissRate(traces[i], cfg))
 				baseDiffs[pr.Name()] = append(baseDiffs[pr.Name()], d)
 			}
 			trueHR, predHR, evErr := 0.0, 0.0, truths[i].err
 			if evErr == nil {
-				trueHR, predHR, evErr = r.evaluatePairs(m, b.Name, truths[i].pairs, core.CacheParams(cfg), 8)
+				trueHR, predHR, evErr = m.ScorePairs(r.Profile.Heatmap, truths[i].pairs, core.CacheParams(cfg), 8)
 			}
 			if evErr != nil {
 				continue

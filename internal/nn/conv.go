@@ -51,11 +51,7 @@ func (c *Conv2d) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	outHW := outH * outW
 	ckk := c.InC * c.Kernel * c.Kernel
 	cols := ensureTensor(c.cols, ckk, n*outHW)
-	imSize := c.InC * h * w
-	for i := 0; i < n; i++ {
-		tensor.Im2colStrided(cols.Data, n*outHW, i*outHW, x.Data[i*imSize:(i+1)*imSize],
-			c.InC, h, w, c.Kernel, c.Stride, c.Pad)
-	}
+	tensor.Im2col(cols.Data, x.Data, n, c.InC, h, w, c.Kernel, c.Stride, c.Pad)
 	y := tensor.MatMul(c.W.Value, cols) // [OutC, N*outHW]
 	for oc := 0; oc < c.OutC; oc++ {
 		b := c.B.Value.Data[oc]
@@ -83,16 +79,12 @@ func (c *Conv2d) Backward(dy *tensor.Tensor) *tensor.Tensor {
 		}
 		c.B.Grad.Data[oc] += float32(s)
 	}
-	// dCols = Wᵀ × dY into the reused scratch, then scatter per sample.
+	// dCols = Wᵀ × dY into the reused scratch, then scatter the batch.
 	dcols := ensureTensor(c.dcols, c.InC*c.Kernel*c.Kernel, n*outHW)
 	tensor.MatMulATBInto(dcols, c.W.Value, dyCK, false)
 	c.dcols = dcols
 	dx := tensor.New(n, c.InC, c.inH, c.inW)
-	imSize := c.InC * c.inH * c.inW
-	for i := 0; i < n; i++ {
-		tensor.Col2imStrided(dx.Data[i*imSize:(i+1)*imSize], dcols.Data, n*outHW, i*outHW,
-			c.InC, c.inH, c.inW, c.Kernel, c.Stride, c.Pad)
-	}
+	tensor.Col2im(dx.Data, dcols.Data, n, c.InC, c.inH, c.inW, c.Kernel, c.Stride, c.Pad)
 	return dx
 }
 
@@ -141,11 +133,7 @@ func (c *ConvTranspose2d) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	tensor.MatMulATBInto(cols, c.W.Value, xCK, false)
 	c.cols = cols
 	y := tensor.New(n, c.OutC, outH, outW)
-	imSize := c.OutC * outH * outW
-	for i := 0; i < n; i++ {
-		tensor.Col2imStrided(y.Data[i*imSize:(i+1)*imSize], cols.Data, n*hw, i*hw,
-			c.OutC, outH, outW, c.Kernel, c.Stride, c.Pad)
-	}
+	tensor.Col2im(y.Data, cols.Data, n, c.OutC, outH, outW, c.Kernel, c.Stride, c.Pad)
 	for in := 0; in < n; in++ {
 		for oc := 0; oc < c.OutC; oc++ {
 			b := c.B.Value.Data[oc]
@@ -166,11 +154,7 @@ func (c *ConvTranspose2d) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	ckk := c.OutC * c.Kernel * c.Kernel
 	dcols := ensureTensor(c.dcols, ckk, n*hw)
 	c.dcols = dcols
-	imSize := c.OutC * c.outH * c.outW
-	for i := 0; i < n; i++ {
-		tensor.Im2colStrided(dcols.Data, n*hw, i*hw, dy.Data[i*imSize:(i+1)*imSize],
-			c.OutC, c.outH, c.outW, c.Kernel, c.Stride, c.Pad)
-	}
+	tensor.Im2col(dcols.Data, dy.Data, n, c.OutC, c.outH, c.outW, c.Kernel, c.Stride, c.Pad)
 	// dW = x × dcolsᵀ.
 	c.W.Grad.AddInPlace(tensor.MatMulABT(c.xCK, dcols))
 	// dB = sums over dy per out channel.

@@ -25,11 +25,7 @@ func (c *Conv2d) ForwardQ8(x *tensor.Tensor) *tensor.Tensor {
 	ckk := c.InC * c.Kernel * c.Kernel
 
 	colsS := tensor.GetScratch(ckk * n * outHW)
-	imSize := c.InC * h * w
-	for i := 0; i < n; i++ {
-		tensor.Im2colStrided(colsS.Data, n*outHW, i*outHW, x.Data[i*imSize:(i+1)*imSize],
-			c.InC, h, w, c.Kernel, c.Stride, c.Pad)
-	}
+	tensor.Im2col(colsS.Data, x.Data, n, c.InC, h, w, c.Kernel, c.Stride, c.Pad)
 	qcolsS := tensor.GetScratchQ8(ckk * n * outHW)
 	sx := tensor.QuantizeSymmetric(qcolsS.Data, colsS.Data)
 	colsS.Release()
@@ -71,11 +67,7 @@ func (c *ConvTranspose2d) ForwardQ8(x *tensor.Tensor) *tensor.Tensor {
 	qxS.Release()
 
 	y := tensor.New(n, c.OutC, outH, outW)
-	imSize := c.OutC * outH * outW
-	for i := 0; i < n; i++ {
-		tensor.Col2imStrided(y.Data[i*imSize:(i+1)*imSize], colsS.Data, n*hw, i*hw,
-			c.OutC, outH, outW, c.Kernel, c.Stride, c.Pad)
-	}
+	tensor.Col2im(y.Data, colsS.Data, n, c.OutC, outH, outW, c.Kernel, c.Stride, c.Pad)
 	colsS.Release()
 	for in := 0; in < n; in++ {
 		for oc := 0; oc < c.OutC; oc++ {

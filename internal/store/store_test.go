@@ -11,10 +11,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"cachebox/internal/cachesim"
-	"cachebox/internal/heatmap"
-	"cachebox/internal/workload"
 )
 
 func testKey(n int) Key {
@@ -351,48 +347,6 @@ func TestStaleLockIsBroken(t *testing.T) {
 		t.Fatalf("Chtimes: %v", err)
 	}
 	putBytes(t, s, testKey(1), []byte("made it past the stale lock"))
-}
-
-func TestPairsRoundTrip(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	hmCfg := heatmap.Config{Height: 8, Width: 8, WindowInstr: 64, AddrShift: 6}
-	b := workload.SpecLike(1, 1, 2000).Benchmarks[0]
-	cfg := cachesim.Config{Name: "L1D", Sets: 16, Ways: 2}
-	k := PairsKey(b, cfg, hmCfg, 10, 42)
-
-	art := &PairsArtifact{
-		Pairs: []heatmap.Pair{{
-			Access: &heatmap.Heatmap{Name: b.Name, H: 8, W: 8, Pix: make([]float32, 64)},
-			Miss:   &heatmap.Heatmap{Name: b.Name, H: 8, W: 8, Pix: make([]float32, 64)},
-		}},
-		HitRate: 0.75,
-	}
-	art.Pairs[0].Access.Pix[5] = 0.5
-	if err := s.SavePairs(k, art); err != nil {
-		t.Fatalf("SavePairs: %v", err)
-	}
-	got, err := s.LoadPairs(k)
-	if err != nil {
-		t.Fatalf("LoadPairs: %v", err)
-	}
-	if got.HitRate != art.HitRate {
-		t.Fatalf("hit rate = %v, want %v", got.HitRate, art.HitRate)
-	}
-	if len(got.Pairs) != 1 || got.Pairs[0].Access.Pix[5] != 0.5 {
-		t.Fatalf("pairs did not round-trip: %+v", got.Pairs)
-	}
-
-	// Different split seed must derive a different key.
-	k2 := PairsKey(b, cfg, hmCfg, 10, 43)
-	if k.Digest() == k2.Digest() {
-		t.Fatal("split seed is not part of the pairs key")
-	}
-	if _, err := s.LoadPairs(k2); !errors.Is(err, ErrMiss) {
-		t.Fatalf("LoadPairs with different split seed: err = %v, want ErrMiss", err)
-	}
 }
 
 func TestWriteFileAtomic(t *testing.T) {

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 
@@ -18,7 +19,7 @@ const maxCachedShards = 8
 // at a time, implementing core.SampleSource so training never holds
 // more than a few shards in memory. Filtered and skipped items are
 // excluded; sample order is manifest item order then window order,
-// which matches Pipeline.Dataset's materialised ordering exactly.
+// which is the order Samples assembles.
 type Dataset struct {
 	st  *store.Store
 	man *Manifest
@@ -116,7 +117,23 @@ func (d *Dataset) shard(ref ShardRef) ([]ShardWindow, error) {
 	if ws, ok := d.cache[ref.Digest]; ok {
 		return ws, nil
 	}
-	rc, sm, err := d.st.OpenDigest(ref.Digest)
+	ws, err := loadShard(ref, func() (io.ReadCloser, *store.Manifest, error) { return d.st.OpenDigest(ref.Digest) })
+	if err != nil {
+		return nil, err
+	}
+	d.cache[ref.Digest] = ws
+	d.order = append(d.order, ref.Digest)
+	if len(d.order) > maxCachedShards {
+		delete(d.cache, d.order[0])
+		d.order = d.order[1:]
+	}
+	return ws, nil
+}
+
+// loadShard decodes one shard read through open, checking its content
+// hash and window count against ref.
+func loadShard(ref ShardRef, open func() (io.ReadCloser, *store.Manifest, error)) ([]ShardWindow, error) {
+	rc, sm, err := open()
 	if err != nil {
 		return nil, fmt.Errorf("stream: open shard %s: %w", ref.Digest, err)
 	}
@@ -133,12 +150,6 @@ func (d *Dataset) shard(ref ShardRef) ([]ShardWindow, error) {
 	if len(ws) != ref.Windows {
 		return nil, fmt.Errorf("stream: shard %s decoded %d windows, manifest says %d",
 			ref.Digest, len(ws), ref.Windows)
-	}
-	d.cache[ref.Digest] = ws
-	d.order = append(d.order, ref.Digest)
-	if len(d.order) > maxCachedShards {
-		delete(d.cache, d.order[0])
-		d.order = d.order[1:]
 	}
 	return ws, nil
 }

@@ -182,6 +182,37 @@ func TestBuildMatchesMaterialised(t *testing.T) {
 	}
 }
 
+// Truth must return the materialised pairs and hit rate with or
+// without a store, recall a warm item from its shards without
+// simulating, and share its item memo with Build.
+func TestTruthMatchesMaterialised(t *testing.T) {
+	hm := testGeom()
+	b, cfg := testBenches()[0], testCfgs()[0]
+	want, wantHR := materialise(t, b, cfg, hm, 5)
+	st := openStore(t)
+	for i, s := range []*store.Store{nil, st, st} {
+		before := metrics.SimRuns.Value()
+		got, hr, err := Truth(context.Background(), s, b, cfg, hm, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hr != wantHR || !reflect.DeepEqual(got, want) {
+			t.Fatalf("call %d: Truth differs from the materialised pipeline", i)
+		}
+		if sims := metrics.SimRuns.Value() - before; (i == 2) != (sims == 0) {
+			t.Fatalf("call %d ran the simulator %d time(s)", i, sims)
+		}
+	}
+	before := metrics.SimRuns.Value()
+	if _, _, err := Build(context.Background(), st, []workload.Benchmark{b}, []cachesim.Config{cfg},
+		BuildConfig{Heatmap: hm, MaxWindows: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if sims := metrics.SimRuns.Value() - before; sims != 0 {
+		t.Fatalf("Build re-simulated an item Truth had memoised (%d runs)", sims)
+	}
+}
+
 // A rebuild over a warm store must simulate nothing and reproduce the
 // manifest exactly.
 func TestBuildMemoised(t *testing.T) {

@@ -220,7 +220,7 @@ func TestIm2colKnownValues(t *testing.T) {
 		7, 8, 9,
 	}
 	cols := make([]float32, 4*4)
-	Im2col(cols, x, 1, 3, 3, 2, 1, 0)
+	Im2col(cols, x, 1, 1, 3, 3, 2, 1, 0)
 	// Row 0 is the top-left tap across the 4 output positions.
 	want := []float32{
 		1, 2, 4, 5, // ky=0,kx=0
@@ -242,19 +242,19 @@ func TestIm2colPaddingZeros(t *testing.T) {
 	for i := range cols {
 		cols[i] = 99 // ensure padding overwrites
 	}
-	Im2col(cols, x, 1, 2, 2, 3, 1, 1)
+	Im2col(cols, x, 1, 1, 2, 2, 3, 1, 1)
 	// Top-left tap of output (0,0) reads x[-1,-1] = padding = 0.
 	if cols[0] != 0 {
 		t.Fatalf("padding tap = %v, want 0", cols[0])
 	}
 }
 
-// Property: Col2im is the exact adjoint of Im2col:
+// Property: Col2im is the exact adjoint of Im2col over a whole batch:
 // <Im2col(x), y> == <x, Col2im(y)> for all x, y.
 func TestIm2colCol2imAdjoint(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		c, h, w := 1+rng.Intn(3), 4+rng.Intn(5), 4+rng.Intn(5)
+		n, c, h, w := 1+rng.Intn(4), 1+rng.Intn(3), 4+rng.Intn(5), 4+rng.Intn(5)
 		kernel := 2 + rng.Intn(3)
 		stride := 1 + rng.Intn(2)
 		pad := rng.Intn(2)
@@ -262,8 +262,8 @@ func TestIm2colCol2imAdjoint(t *testing.T) {
 		if outHW <= 0 {
 			return true
 		}
-		x := make([]float32, c*h*w)
-		y := make([]float32, c*kernel*kernel*outHW)
+		x := make([]float32, n*c*h*w)
+		y := make([]float32, c*kernel*kernel*n*outHW)
 		for i := range x {
 			x[i] = rng.Float32() - 0.5
 		}
@@ -271,13 +271,13 @@ func TestIm2colCol2imAdjoint(t *testing.T) {
 			y[i] = rng.Float32() - 0.5
 		}
 		cols := make([]float32, len(y))
-		Im2col(cols, x, c, h, w, kernel, stride, pad)
+		Im2col(cols, x, n, c, h, w, kernel, stride, pad)
 		var lhs float64
 		for i := range cols {
 			lhs += float64(cols[i]) * float64(y[i])
 		}
 		back := make([]float32, len(x))
-		Col2im(back, y, c, h, w, kernel, stride, pad)
+		Col2im(back, y, n, c, h, w, kernel, stride, pad)
 		var rhs float64
 		for i := range back {
 			rhs += float64(back[i]) * float64(x[i])

@@ -42,7 +42,7 @@ func Summarize(t *Trace, blockSize uint64) Stats {
 		return s
 	}
 	blocks := make(map[uint64]struct{})
-	strides := make(map[int64]int)
+	strideAt := make(map[int64]int) // stride -> its index in s.TopStrides
 	s.MinAddr = t.Accesses[0].Addr
 	prev := t.Accesses[0].Addr
 	for i, a := range t.Accesses {
@@ -57,16 +57,19 @@ func Summarize(t *Trace, blockSize uint64) Stats {
 			s.MaxAddr = a.Addr
 		}
 		if i > 0 {
-			strides[int64(a.Addr-prev)]++
+			d := int64(a.Addr - prev)
+			if j, seen := strideAt[d]; seen {
+				s.TopStrides[j].Count++
+			} else {
+				strideAt[d] = len(s.TopStrides)
+				s.TopStrides = append(s.TopStrides, StrideCount{Stride: d, Count: 1})
+			}
 		}
 		prev = a.Addr
 	}
 	s.Blocks = len(blocks)
 	s.FootprintBytes = uint64(len(blocks)) * blockSize
 	s.Instructions = t.Accesses[len(t.Accesses)-1].IC - t.Accesses[0].IC
-	for st, c := range strides {
-		s.TopStrides = append(s.TopStrides, StrideCount{Stride: st, Count: c})
-	}
 	sort.Slice(s.TopStrides, func(i, j int) bool {
 		if s.TopStrides[i].Count != s.TopStrides[j].Count {
 			return s.TopStrides[i].Count > s.TopStrides[j].Count

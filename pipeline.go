@@ -10,7 +10,6 @@ import (
 	"cachebox/internal/metrics"
 	"cachebox/internal/obs"
 	"cachebox/internal/par"
-	"cachebox/internal/store"
 	"cachebox/internal/stream"
 	"cachebox/internal/workload"
 )
@@ -25,25 +24,16 @@ type Pipeline struct {
 	// MaxPairsPerBench caps the heatmap pairs taken per benchmark per
 	// cache configuration (0 = unlimited).
 	MaxPairsPerBench int
-	// Store, when non-nil, memoises BenchPairs simulation results in a
-	// content-addressed artifact store, so repeat runs skip the
-	// simulator.
+	// Store, when non-nil, memoises ground truth per (benchmark, cache
+	// config) item in a content-addressed artifact store — the same
+	// item entries DatasetSource and cbx-dataset write — so repeat runs
+	// skip the simulator.
 	Store *Store
-	// SplitSeed tags cached artifacts with the train/test split they
-	// feed (runs with different splits never share entries).
-	SplitSeed int64
 	// Workers bounds the parallelism of ground-truth simulation in
 	// Dataset, EvaluateAll and TrueHitRates: 0 = runtime.GOMAXPROCS(0),
 	// 1 = the serial path. Results are committed in deterministic input
 	// order, so output is identical whatever the width.
 	Workers int
-	// Stream routes BenchPairs (and everything built on it: Dataset,
-	// Evaluate, EvaluateAll) through the streaming subsystem
-	// (internal/stream): the trace is synthesised, simulated and
-	// windowed one heatmap window at a time through a bounded channel
-	// pipeline instead of being materialised. Output — including any
-	// store artifacts — is byte-identical to the materialised path.
-	Stream bool
 }
 
 // NewPipeline returns a Pipeline with the default scaled-down heatmap
@@ -53,65 +43,11 @@ func NewPipeline() Pipeline {
 }
 
 // BenchPairs simulates bench against a single cache level and returns
-// the aligned heatmap pairs plus the level's true hit rate.
+// the aligned heatmap pairs plus the level's true hit rate. The trace
+// is synthesised, simulated and windowed in one streamed pass
+// (stream.Truth), never materialised.
 func (p Pipeline) BenchPairs(bench Benchmark, cfg CacheConfig) ([]HeatmapPair, float64, error) {
-	return p.benchPairs(context.Background(), bench, cfg)
-}
-
-// benchPairs is BenchPairs with an explicit context so worker-pool
-// callers thread their par.task span through to the stage spans.
-func (p Pipeline) benchPairs(ctx context.Context, bench Benchmark, cfg CacheConfig) ([]HeatmapPair, float64, error) {
-	var key store.Key
-	if p.Store != nil {
-		key = store.PairsKey(bench, cfg, p.Heatmap, p.MaxPairsPerBench, p.SplitSeed)
-		if art, err := p.Store.LoadPairs(key); err == nil {
-			return art.Pairs, art.HitRate, nil
-		}
-	}
-	var pairs []HeatmapPair
-	var hr float64
-	if p.Stream {
-		// Streamed: one fused pass over the access stream. stream.Run
-		// counts the sim run, applies the pair cap at the source, and —
-		// without StopEarly — still reports the exact whole-trace hit
-		// rate, so the cached artifact below stays byte-identical.
-		res, err := stream.Run(ctx, bench, cfg,
-			stream.RunConfig{Heatmap: p.Heatmap, MaxWindows: p.MaxPairsPerBench},
-			func(w stream.Window) error {
-				pairs = append(pairs, w.Pair)
-				return nil
-			})
-		if err != nil {
-			return nil, 0, fmt.Errorf("cachebox: %s: %w", bench.Name, err)
-		}
-		hr = res.HitRate
-	} else {
-		metrics.SimRuns.Inc()
-		_, traceSpan := obs.Start(ctx, "workload.trace")
-		traceSpan.Tag("bench", bench.Name)
-		tr := bench.Trace()
-		traceSpan.End()
-		_, simSpan := obs.Start(ctx, "sim.run")
-		simSpan.Tag("bench", bench.Name)
-		lt := cachesim.RunTrace(cachesim.New(cfg), tr)
-		simSpan.End()
-		_, pairSpan := obs.Start(ctx, "heatmap.pairs")
-		var err error
-		pairs, err = heatmap.BuildPair(p.Heatmap, lt.Accesses, lt.Misses)
-		pairSpan.End()
-		if err != nil {
-			return nil, 0, fmt.Errorf("cachebox: %s: %w", bench.Name, err)
-		}
-		if p.MaxPairsPerBench > 0 && len(pairs) > p.MaxPairsPerBench {
-			pairs = pairs[:p.MaxPairsPerBench]
-		}
-		hr = lt.HitRate()
-	}
-	if p.Store != nil {
-		//lint:ignore unchecked-error cache-fill failure only costs a future re-simulation
-		p.Store.SavePairs(key, &store.PairsArtifact{Pairs: pairs, HitRate: hr})
-	}
-	return pairs, hr, nil
+	return stream.Truth(context.Background(), p.Store, bench, cfg, p.Heatmap, p.MaxPairsPerBench)
 }
 
 // LevelPairs simulates bench against a full hierarchy and returns the
@@ -146,52 +82,18 @@ func (p Pipeline) LevelPairs(bench Benchmark, cfgs []CacheConfig) ([][]HeatmapPa
 // parameters (paper RQ2: one model across configurations). Benchmarks
 // whose true hit rate falls below minHitRate are excluded — the
 // paper's §6.1 "high data regime" rule; pass 0 to keep everything.
+// Simulation fans out across Workers; samples come back in (cfg,
+// bench) order, so the dataset is identical to a serial build.
 func (p Pipeline) Dataset(benches []Benchmark, cfgs []CacheConfig, minHitRate float64) ([]Sample, error) {
-	type item struct {
-		cfg   CacheConfig
-		bench Benchmark
-	}
-	var items []item
-	for _, cfg := range cfgs {
-		for _, b := range benches {
-			items = append(items, item{cfg: cfg, bench: b})
-		}
-	}
-	type built struct {
-		pairs []HeatmapPair
-		hr    float64
-	}
-	// Simulation fans out across the worker pool; samples are committed
-	// in the serial (cfg, bench) order below, so the dataset is
-	// identical to a serial build.
 	ctx, dsSpan := obs.Start(context.Background(), "pipeline.dataset")
-	dsSpan.TagInt("items", len(items))
+	dsSpan.TagInt("items", len(benches)*len(cfgs))
 	defer dsSpan.End()
-	res, err := par.Map(ctx, p.Workers, items,
-		func(ctx context.Context, _ int, it item) (built, error) {
-			pairs, hr, err := p.benchPairs(ctx, it.bench, it.cfg)
-			if err != nil {
-				return built{}, err
-			}
-			return built{pairs: pairs, hr: hr}, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	var out []Sample
-	for i, it := range items {
-		if res[i].hr < minHitRate {
-			continue
-		}
-		params := core.CacheParams(it.cfg)
-		for _, pr := range res[i].pairs {
-			out = append(out, Sample{Access: pr.Access, Miss: pr.Miss, Params: params, Bench: it.bench.Name})
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("cachebox: dataset is empty (all benchmarks filtered?)")
-	}
-	return out, nil
+	return stream.Samples(ctx, p.Store, benches, cfgs, stream.BuildConfig{
+		Heatmap:    p.Heatmap,
+		MaxWindows: p.MaxPairsPerBench,
+		MinHitRate: minHitRate,
+		Workers:    p.Workers,
+	})
 }
 
 // DatasetSource builds (or recalls from a warm store) a sharded
@@ -245,11 +147,8 @@ type Eval struct {
 // Evaluate predicts bench's miss heatmaps with the model and compares
 // the implied hit rate against the simulator's truth (paper §4.4).
 func (p Pipeline) Evaluate(m *Model, bench Benchmark, cfg CacheConfig, batchSize int) (Eval, error) {
-	pairs, _, err := p.BenchPairs(bench, cfg)
-	if err != nil {
-		return Eval{}, err
-	}
-	return p.evaluatePairs(m, bench, cfg, pairs, batchSize)
+	res := p.EvaluateAll(m, []Benchmark{bench}, cfg, batchSize)[0]
+	return res.Eval, res.Err
 }
 
 // EvalResult pairs one benchmark's evaluation with its error, so a
@@ -275,7 +174,7 @@ func (p Pipeline) EvaluateAll(m *Model, benches []Benchmark, cfg CacheConfig, ba
 	defer evalSpan.End()
 	truths, mapErr := par.Map(ctx, p.Workers, benches,
 		func(ctx context.Context, _ int, b Benchmark) (truth, error) {
-			pairs, _, err := p.benchPairs(ctx, b, cfg)
+			pairs, _, err := stream.Truth(ctx, p.Store, b, cfg, p.Heatmap, p.MaxPairsPerBench)
 			return truth{pairs: pairs, err: err}, nil
 		})
 	out := make([]EvalResult, len(benches))
@@ -286,52 +185,23 @@ func (p Pipeline) EvaluateAll(m *Model, benches []Benchmark, cfg CacheConfig, ba
 		}
 		return out
 	}
+	params := core.CacheParams(cfg)
 	for i, b := range benches {
-		if truths[i].err != nil {
-			out[i] = EvalResult{Eval: Eval{Bench: b.Name, Config: cfg}, Err: truths[i].err}
+		ev := Eval{Bench: b.Name, Config: cfg, Pairs: len(truths[i].pairs)}
+		err := truths[i].err // already names the benchmark
+		if err == nil {
+			if ev.TrueHit, ev.PredHit, err = m.ScorePairs(p.Heatmap, truths[i].pairs, params, batchSize); err != nil {
+				err = fmt.Errorf("cachebox: %s: %w", b.Name, err)
+			}
+		}
+		if err != nil {
+			out[i] = EvalResult{Eval: Eval{Bench: b.Name, Config: cfg}, Err: err}
 			continue
 		}
-		ev, err := p.evaluatePairs(m, b, cfg, truths[i].pairs, batchSize)
-		if err != nil {
-			ev.Bench, ev.Config = b.Name, cfg
-		}
-		out[i] = EvalResult{Eval: ev, Err: err}
+		ev.AbsPctDiff = metrics.AbsPctDiff(ev.TrueHit, ev.PredHit)
+		out[i] = EvalResult{Eval: ev}
 	}
 	return out
-}
-
-// evaluatePairs is Evaluate's serial scoring stage over pre-simulated
-// pairs.
-func (p Pipeline) evaluatePairs(m *Model, bench Benchmark, cfg CacheConfig, pairs []HeatmapPair, batchSize int) (Eval, error) {
-	if len(pairs) == 0 {
-		return Eval{}, fmt.Errorf("cachebox: %s yields no heatmaps (trace too short for %dx%d windows)",
-			bench.Name, p.Heatmap.Height, p.Heatmap.Width)
-	}
-	var access, miss []*Heatmap
-	for _, pr := range pairs {
-		access = append(access, pr.Access)
-		miss = append(miss, pr.Miss)
-	}
-	trueHR, err := heatmap.HitRate(p.Heatmap, access, miss)
-	if err != nil {
-		return Eval{}, err
-	}
-	pred := m.Predict(access, core.CacheParams(cfg), batchSize)
-	for i := range pred {
-		pred[i] = heatmap.ConstrainMiss(pred[i], access[i])
-	}
-	predHR, err := heatmap.HitRate(p.Heatmap, access, pred)
-	if err != nil {
-		return Eval{}, err
-	}
-	return Eval{
-		Bench:      bench.Name,
-		Config:     cfg,
-		TrueHit:    trueHR,
-		PredHit:    predHR,
-		AbsPctDiff: metrics.AbsPctDiff(trueHR, predHR),
-		Pairs:      len(pairs),
-	}, nil
 }
 
 // TrueHitRates simulates every benchmark once and returns its hit rate

@@ -11,10 +11,9 @@
 #     population the plan clusters is exactly the population the full
 #     build simulates.
 #
-#  2. Streamed-vs-materialised equivalence: run tiny fig7 three times
-#     (materialised -j4, streamed -j1, streamed -j8) into fresh
-#     artifact dirs/stores and require the trained model artifacts to
-#     be byte-identical.
+#  2. Worker-count invariance: run tiny fig7 twice (-j1 and -j8) into
+#     fresh artifact dirs/stores and require the trained model
+#     artifacts to be byte-identical.
 #
 #   scripts/bench_pr8.sh [out.json]
 #
@@ -59,19 +58,15 @@ SAMP_SIMS="$(sim_runs "$SAMP_OUT")"
 FULL_WINS="$(stream_windows "$FULL_OUT")"
 SAMP_WINS="$(stream_windows "$SAMP_OUT")"
 
-echo "== fig7 equivalence (materialised -j4 vs streamed -j1/-j8) =="
+echo "== fig7 equivalence (-j1 vs -j8) =="
 T0=$SECONDS
-"$WORK/cbx-experiments" -scale tiny -run fig7 -artifacts "$WORK/mat" -store "$WORK/mat-store" -j 4 >/dev/null
-MAT_SECS=$((SECONDS - T0))
-T0=$SECONDS
-"$WORK/cbx-experiments" -scale tiny -run fig7 -stream -artifacts "$WORK/s1" -store "$WORK/s1-store" -j 1 >/dev/null
+"$WORK/cbx-experiments" -scale tiny -run fig7 -artifacts "$WORK/s1" -store "$WORK/s1-store" -j 1 >/dev/null
 S1_SECS=$((SECONDS - T0))
 T0=$SECONDS
-"$WORK/cbx-experiments" -scale tiny -run fig7 -stream -artifacts "$WORK/s8" -store "$WORK/s8-store" -j 8 >/dev/null
+"$WORK/cbx-experiments" -scale tiny -run fig7 -artifacts "$WORK/s8" -store "$WORK/s8-store" -j 8 >/dev/null
 S8_SECS=$((SECONDS - T0))
-cmp "$WORK/mat/tiny-fig7-rq1-mixed.cbgan" "$WORK/s1/tiny-fig7-rq1-mixed.cbgan"
-cmp "$WORK/mat/tiny-fig7-rq1-mixed.cbgan" "$WORK/s8/tiny-fig7-rq1-mixed.cbgan"
-MODEL_SHA="$(sha256sum "$WORK/mat/tiny-fig7-rq1-mixed.cbgan" | cut -d' ' -f1)"
+cmp "$WORK/s1/tiny-fig7-rq1-mixed.cbgan" "$WORK/s8/tiny-fig7-rq1-mixed.cbgan"
+MODEL_SHA="$(sha256sum "$WORK/s1/tiny-fig7-rq1-mixed.cbgan" | cut -d' ' -f1)"
 echo "fig7 model artifacts byte-identical ($MODEL_SHA)"
 
 python3 - "$OUT" <<EOF
@@ -83,8 +78,8 @@ assert ratio >= 3, f"sampling saved only {ratio:.2f}x sim runs"
 doc = {
     "description": "Streaming dataset subsystem (internal/stream + internal/sampling): "
                    "exhaustive vs representative-sampled build of the same "
-                   "spec+zipf x {64x12,128x6} sweep, and tiny fig7 streamed-vs-"
-                   "materialised artifact equivalence. Reproduce with: scripts/bench_pr8.sh",
+                   "spec+zipf x {64x12,128x6} sweep, and tiny fig7 -j1-vs-j8 "
+                   "artifact equivalence. Reproduce with: scripts/bench_pr8.sh",
     "date": datetime.date.today().isoformat(),
     "goos": "linux",
     "machine": platform.machine(),
@@ -103,10 +98,9 @@ doc = {
     "stream_equivalence": {
         "experiment": "tiny fig7",
         "model_sha256": "$MODEL_SHA",
-        "byte_identical": ["materialised -j4", "streamed -j1", "streamed -j8"],
-        "materialised_j4_seconds": $MAT_SECS,
-        "streamed_j1_seconds": $S1_SECS,
-        "streamed_j8_seconds": $S8_SECS,
+        "byte_identical": ["-j1", "-j8"],
+        "j1_seconds": $S1_SECS,
+        "j8_seconds": $S8_SECS,
     },
 }
 with open(sys.argv[1], "w") as f:

@@ -3,15 +3,19 @@ package cachebox
 import (
 	"reflect"
 	"testing"
+
+	"cachebox/internal/cachesim"
+	"cachebox/internal/heatmap"
+	"cachebox/internal/metrics"
 )
 
-func streamTestPipeline(t *testing.T, streamed bool) Pipeline {
+func streamTestPipeline(t *testing.T, workers int) Pipeline {
 	t.Helper()
 	p := NewPipeline()
 	p.Heatmap.Height, p.Heatmap.Width = 8, 8
 	p.Heatmap.WindowInstr = 120
 	p.MaxPairsPerBench = 5
-	p.Stream = streamed
+	p.Workers = workers
 	st, err := OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -27,35 +31,72 @@ func streamTestBenches() []Benchmark {
 	return bs
 }
 
-// Pipeline.Stream must be an invisible switch: BenchPairs and Dataset
-// return byte-identical results on either path.
+// referencePairs builds one item the materialised way (whole trace,
+// cachesim.RunTrace, heatmap.BuildPair, then the pair cap): the
+// reference the streamed pipeline must reproduce.
+func referencePairs(t *testing.T, p Pipeline, b Benchmark, cfg CacheConfig) ([]HeatmapPair, float64) {
+	t.Helper()
+	lt := cachesim.RunTrace(cachesim.New(cfg), b.Trace())
+	pairs, err := heatmap.BuildPair(p.Heatmap, lt.Accesses, lt.Misses)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pairs) > p.MaxPairsPerBench {
+		pairs = pairs[:p.MaxPairsPerBench]
+	}
+	return pairs, lt.HitRate()
+}
+
+// BenchPairs and Dataset stream every item; they must reproduce the
+// materialised reference exactly at any pool width, and a warm store
+// must serve the same pairs from its shards without simulating.
 func TestPipelineStreamEquivalence(t *testing.T) {
 	benches := streamTestBenches()
-	cfgs := []CacheConfig{{Sets: 16, Ways: 2, BlockSize: 64}}
-	mat, str := streamTestPipeline(t, false), streamTestPipeline(t, true)
+	cfgs := []CacheConfig{{Sets: 16, Ways: 2, BlockSize: 64}, {Sets: 64, Ways: 4, BlockSize: 64}}
+	const minHR = 0.2
+	ref := streamTestPipeline(t, 1)
 
-	wantPairs, wantHR, err := mat.BenchPairs(benches[0], cfgs[0])
-	if err != nil {
-		t.Fatal(err)
+	var want []Sample
+	for _, cfg := range cfgs {
+		for _, b := range benches {
+			pairs, hr := referencePairs(t, ref, b, cfg)
+			if hr < minHR {
+				continue
+			}
+			for _, pr := range pairs {
+				want = append(want, Sample{Access: pr.Access, Miss: pr.Miss, Params: CacheParams(cfg), Bench: b.Name})
+			}
+		}
 	}
-	gotPairs, gotHR, err := str.BenchPairs(benches[0], cfgs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotHR != wantHR || !reflect.DeepEqual(gotPairs, wantPairs) {
-		t.Fatal("streamed BenchPairs differs from materialised")
+	for _, workers := range []int{1, 8} {
+		got, err := streamTestPipeline(t, workers).Dataset(benches, cfgs, minHR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("-j%d Dataset differs from the materialised reference", workers)
+		}
 	}
 
-	want, err := mat.Dataset(benches, cfgs, 0.2)
+	p := streamTestPipeline(t, 1)
+	wantPairs, wantHR := referencePairs(t, p, benches[0], cfgs[0])
+	cold, coldHR, err := p.BenchPairs(benches[0], cfgs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := str.Dataset(benches, cfgs, 0.2)
+	if coldHR != wantHR || !reflect.DeepEqual(cold, wantPairs) {
+		t.Fatal("BenchPairs differs from the materialised reference")
+	}
+	sims := metrics.SimRuns.Value()
+	warm, warmHR, err := p.BenchPairs(benches[0], cfgs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("streamed Dataset differs from materialised")
+	if d := metrics.SimRuns.Value() - sims; d != 0 {
+		t.Fatalf("warm BenchPairs ran the simulator %d time(s)", d)
+	}
+	if warmHR != coldHR || !reflect.DeepEqual(warm, cold) {
+		t.Fatal("warm BenchPairs differs from the cold run")
 	}
 }
 
@@ -65,7 +106,7 @@ func TestPipelineStreamEquivalence(t *testing.T) {
 func TestDatasetSourceMatchesDataset(t *testing.T) {
 	benches := streamTestBenches()
 	cfgs := []CacheConfig{{Sets: 16, Ways: 2, BlockSize: 64}}
-	p := streamTestPipeline(t, false)
+	p := streamTestPipeline(t, 0)
 
 	want, err := p.Dataset(benches, cfgs, 0.2)
 	if err != nil {
